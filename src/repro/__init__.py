@@ -78,12 +78,10 @@ from repro.service import (
     TenantSpec,
     UDCService,
     WeightedFairShare,
-    submit_options,
-    tenant_spec,
 )
 from repro.simulator import Simulator
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisError",
@@ -133,9 +131,7 @@ __all__ = [
     "first_divergence",
     "parse_definition",
     "read_journal",
-    "submit_options",
     "task",
-    "tenant_spec",
     "verify_run",
     "__version__",
 ]

@@ -116,14 +116,6 @@ class ModuleDAG:
 
     # -- graph views ------------------------------------------------------------
 
-    def to_networkx(self) -> nx.DiGraph:
-        graph = nx.DiGraph(name=self.name)
-        for module_name, module in self.modules.items():
-            graph.add_node(module_name, kind=module.kind.value)
-        for edge in self.edges:
-            graph.add_edge(edge.src, edge.dst, bytes=edge.bytes_transferred)
-        return graph
-
     def effective_task_graph(self) -> nx.DiGraph:
         """Dependencies between *task* modules only.
 
@@ -139,7 +131,6 @@ class ModuleDAG:
         Induced edges are considered in sorted order so the result is
         deterministic.
         """
-        graph = self.to_networkx()
         task_names = {t.name for t in self.tasks}
         task_graph = nx.DiGraph()
         task_graph.add_nodes_from(sorted(task_names))

@@ -56,7 +56,7 @@ from repro.gateway.wire import (
     write_response,
 )
 from repro.service.service import SubmissionHandle, UDCService
-from repro.service.tenants import QuotaExceeded, TenantQuota
+from repro.service.tenants import QuotaExceeded, TenantQuota, TenantSpec
 from repro.workloads.cluster import ARCHETYPE_BUILDERS
 
 __all__ = ["GatewayConfig", "UDCGateway"]
@@ -460,8 +460,9 @@ class UDCGateway:
                 max_in_flight=payload.get("max_in_flight"),
                 max_submissions=payload.get("max_submissions"),
             )
-        tenant = self.service.register_tenant(name, weight=weight,
-                                              quota=quota)
+        tenant = self.service.register_tenant(
+            name, TenantSpec(weight=weight, quota=quota)
+        )
         self._note_weight(name, weight)
         return 200, {"name": tenant.name, "weight": tenant.weight}, None, \
             "application/json"

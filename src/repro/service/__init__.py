@@ -29,8 +29,6 @@ from repro.service.tenants import (
     Tenant,
     TenantQuota,
     TenantSpec,
-    submit_options,
-    tenant_spec,
 )
 
 __all__ = [
@@ -52,6 +50,4 @@ __all__ = [
     "dag_fingerprint",
     "definition_fingerprint",
     "inputs_fingerprint",
-    "submit_options",
-    "tenant_spec",
 ]

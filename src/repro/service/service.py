@@ -40,9 +40,8 @@ Per-tenant outcomes land on an
 from __future__ import annotations
 
 import itertools
-import warnings
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.appmodel.dag import ModuleDAG
@@ -65,7 +64,6 @@ from repro.service.tenants import (
     QuotaExceeded,
     SubmitOptions,
     Tenant,
-    TenantQuota,
     TenantSpec,
 )
 
@@ -202,9 +200,8 @@ class UDCService:
 
     def __init__(
         self,
-        datacenter: Optional[Datacenter] = None,
+        datacenter: Datacenter,
         *,
-        runtime: Optional[UDCRuntime] = None,
         policy: Optional[AdmissionPolicy] = None,
         batched: bool = True,
         cells: int = 1,
@@ -216,27 +213,12 @@ class UDCService:
     ):
         if cells < 1:
             raise ValueError(f"cells must be >= 1, got {cells}")
-        if runtime is not None:
-            if runtime_kwargs:
-                raise ValueError(
-                    f"runtime kwargs {sorted(runtime_kwargs)} conflict with "
-                    f"an explicit runtime instance"
-                )
-            if cells != 1:
-                raise ValueError(
-                    "an explicit runtime instance is single-cell; pass the "
-                    "datacenter instead to shard it"
-                )
-            runtimes = [runtime]
+        if cells == 1:
+            runtimes = [UDCRuntime(datacenter, **runtime_kwargs)]
         else:
-            if datacenter is None:
-                raise ValueError("UDCService needs a datacenter or a runtime")
-            if cells == 1:
-                runtimes = [UDCRuntime(datacenter, **runtime_kwargs)]
-            else:
-                runtimes = self._build_cell_runtimes(
-                    datacenter, cells, runtime_kwargs
-                )
+            runtimes = self._build_cell_runtimes(
+                datacenter, cells, runtime_kwargs
+            )
         self.cell_runtimes: List[UDCRuntime] = runtimes
         self.runtime = runtimes[0]
         self.lint = lint
@@ -338,59 +320,20 @@ class UDCService:
     # ------------------------------------------------------------- tenants
 
     def register_tenant(
-        self,
-        name: str,
-        spec: Union[TenantSpec, float, None] = None,
-        **legacy,
+        self, name: str, spec: Optional[TenantSpec] = None
     ) -> Tenant:
         """Register (or re-configure) a tenant from a typed spec.
 
-        ``spec`` is a :class:`~repro.service.tenants.TenantSpec` (or a
-        fluent ``tenant_spec()`` builder — anything with ``build_spec``),
-        carrying weight, quota, budget, tier/goal, SLO, and pricing in
-        one value.  The old spellings still work, with a
-        :class:`DeprecationWarning`: a bare number in the spec position
-        is the historical positional ``weight``, and ``weight=`` /
-        ``quota=`` keywords fold into a default spec.  Unknown keywords
-        raise :class:`TypeError`.
+        ``spec`` is a :class:`~repro.service.tenants.TenantSpec` carrying
+        weight, quota, budget, tier/goal, SLO, and pricing in one value;
+        ``None`` registers the defaults.  Anything else raises
+        :class:`TypeError`.
         """
-        if spec is not None and not hasattr(spec, "build_spec"):
-            if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-                warnings.warn(
-                    "register_tenant(name, weight) is deprecated; pass a "
-                    "TenantSpec (e.g. tenant_spec().weight(...))",
-                    DeprecationWarning, stacklevel=2,
-                )
-                spec = TenantSpec(weight=float(spec))
-            else:
-                raise TypeError(
-                    f"spec must be a TenantSpec (or builder), "
-                    f"got {type(spec).__name__}"
-                )
-        folded: Dict[str, Any] = {}
-        for key in ("weight", "quota"):
-            if key in legacy:
-                warnings.warn(
-                    f"register_tenant({key}=...) is deprecated; declare it "
-                    f"on a TenantSpec",
-                    DeprecationWarning, stacklevel=2,
-                )
-                folded[key] = legacy.pop(key)
-        if legacy:
+        spec = TenantSpec() if spec is None else spec
+        if not isinstance(spec, TenantSpec):
             raise TypeError(
-                f"register_tenant() got unexpected keyword argument(s) "
-                f"{sorted(legacy)}"
+                f"spec must be a TenantSpec, got {type(spec).__name__}"
             )
-        if spec is None:
-            spec = TenantSpec(weight=float(folded.get("weight", 1.0)),
-                              quota=folded.get("quota"))
-        else:
-            spec = spec.build_spec()
-            if folded:
-                raise TypeError(
-                    "pass either a TenantSpec or the deprecated "
-                    "weight=/quota= keywords, not both"
-                )
         tenant = Tenant(name=name, weight=spec.weight, quota=spec.quota)
         existing = self.tenants.get(name)
         if existing is not None:
@@ -456,54 +399,26 @@ class UDCService:
         definition=None,
         inputs: Optional[Dict[str, Any]] = None,
         options: Optional[SubmitOptions] = None,
-        **legacy,
     ) -> SubmissionHandle:
         """Accept one submission; raises
         :class:`~repro.service.tenants.QuotaExceeded` over quota and
         :class:`~repro.service.tenants.BudgetExceeded` (a subclass) when
         the tenant's spend reached its budget ceiling.
 
-        ``options`` is a :class:`~repro.service.tenants.SubmitOptions`
-        (or a fluent ``submit_options()`` builder — anything with
-        ``build_options``): lint override, dispatch priority, deadline,
-        cache opt-out.  The loose spellings (``lint=``, ``priority=``,
-        ``deadline_s=``, ``use_cache=``) still work with a
-        :class:`DeprecationWarning`; unknown keywords raise
+        ``options`` is a :class:`~repro.service.tenants.SubmitOptions`:
+        lint override, dispatch priority, deadline, cache opt-out;
+        ``None`` takes the defaults.  Anything else raises
         :class:`TypeError`.
 
         In batched mode the submission buffers until the next
         :meth:`dispatch_round` (or :meth:`drain`, which flushes); in
         serial mode it reaches the runtime immediately.
         """
-        opts = SubmitOptions()
-        if options is not None:
-            if not hasattr(options, "build_options"):
-                raise TypeError(
-                    f"options must be SubmitOptions (or builder), "
-                    f"got {type(options).__name__}"
-                )
-            opts = options.build_options()
-        folded: Dict[str, Any] = {}
-        for key in ("lint", "priority", "deadline_s", "use_cache"):
-            if key in legacy:
-                warnings.warn(
-                    f"submit({key}=...) is deprecated; pass "
-                    f"options=SubmitOptions({key}=...)",
-                    DeprecationWarning, stacklevel=2,
-                )
-                folded[key] = legacy.pop(key)
-        if legacy:
+        opts = SubmitOptions() if options is None else options
+        if not isinstance(opts, SubmitOptions):
             raise TypeError(
-                f"submit() got unexpected keyword argument(s) "
-                f"{sorted(legacy)}"
+                f"options must be SubmitOptions, got {type(opts).__name__}"
             )
-        if folded:
-            if options is not None:
-                raise TypeError(
-                    "pass either options= or the deprecated submit "
-                    "keywords, not both"
-                )
-            opts = replace(opts, **folded)
         lint = self.lint if opts.lint is None else opts.lint
         record = self._tenant_of(tenant)
         name = record.name

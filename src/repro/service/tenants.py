@@ -11,16 +11,13 @@ before any control-plane work is spent.
 :class:`TenantSpec` and :class:`SubmitOptions` are the typed fronts for
 everything a tenant declares about itself (weight, quota, budget,
 tier/goal, pricing plan, SLO) and about one submission (lint override,
-priority, deadline, cache opt-out).  Both come with fluent builders
-(:func:`tenant_spec`, :func:`submit_options`) mirroring the
-``repro.define()`` idiom, and both are duck-typed at the service front
-door via ``build_spec()`` / ``build_options()`` — a builder passed where
-the dataclass is expected compiles itself on admission.
+priority, deadline, cache opt-out).  Both are frozen dataclasses:
+derive a variant with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.economics.autopilot import FIRM_PLAN, SPOT_PLAN, PricingPlan
@@ -29,13 +26,9 @@ __all__ = [
     "BudgetExceeded",
     "QuotaExceeded",
     "SubmitOptions",
-    "SubmitOptionsBuilder",
     "Tenant",
     "TenantQuota",
     "TenantSpec",
-    "TenantSpecBuilder",
-    "submit_options",
-    "tenant_spec",
 ]
 
 
@@ -120,9 +113,9 @@ class Tenant:
 class TenantSpec:
     """Everything a tenant declares about itself, in one typed value.
 
-    Accepted by :meth:`~repro.service.UDCService.register_tenant` in
-    place of the old kwarg list.  ``goal="cheapest"`` is the paper's
-    C10 declaration — the tenant states an objective and the provider
+    The one declaration :meth:`~repro.service.UDCService
+    .register_tenant` takes.  ``goal="cheapest"`` is the paper's C10
+    declaration — the tenant states an objective and the provider
     optimizes — and resolves to the preemptible spot tier unless
     ``tier`` overrides it explicitly.
     """
@@ -175,16 +168,11 @@ class TenantSpec:
             return self.pricing
         return SPOT_PLAN if self.effective_tier == "spot" else FIRM_PLAN
 
-    # duck-typing hook consumed by UDCService.register_tenant: a spec
-    # passed where a spec is expected is already built.
-    def build_spec(self) -> "TenantSpec":
-        return self
-
 
 @dataclass(frozen=True)
 class SubmitOptions:
     """Per-submission options for :meth:`~repro.service.UDCService
-    .submit`, consolidating the old ad-hoc kwarg list.
+    .submit`, in one typed value.
 
     All fields default to "inherit the service/tenant configuration":
     ``lint=None`` follows the service's lint flag, ``deadline_s=None``
@@ -205,99 +193,3 @@ class SubmitOptions:
             raise ValueError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
-
-    # duck-typing hook consumed by UDCService.submit.
-    def build_options(self) -> "SubmitOptions":
-        return self
-
-
-def tenant_spec() -> "TenantSpecBuilder":
-    """Start a fluent tenant spec: ``tenant_spec().weight(2).spot()``."""
-    return TenantSpecBuilder()
-
-
-class TenantSpecBuilder:
-    """Fluent front for :class:`TenantSpec`, mirroring ``define()``.
-
-    Each setter returns the builder; :meth:`build` produces the frozen
-    spec.  The builder itself is accepted by ``register_tenant`` (it
-    compiles on admission via ``build_spec``), so call sites can stay
-    fluent end to end.
-    """
-
-    def __init__(self):
-        self._spec = TenantSpec()
-
-    def weight(self, weight: float) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, weight=weight)
-        return self
-
-    def quota(self, quota: TenantQuota) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, quota=quota)
-        return self
-
-    def budget(self, dollars: float) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, budget_dollars=dollars)
-        return self
-
-    def goal(self, goal: str) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, goal=goal)
-        return self
-
-    def spot(self) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, tier="spot")
-        return self
-
-    def firm(self) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, tier="firm")
-        return self
-
-    def slo(self, seconds: float) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, slo_s=seconds)
-        return self
-
-    def pricing(self, plan: PricingPlan) -> "TenantSpecBuilder":
-        self._spec = replace(self._spec, pricing=plan)
-        return self
-
-    def build(self) -> TenantSpec:
-        return self._spec
-
-    # duck-typing hook consumed by UDCService.register_tenant.
-    def build_spec(self) -> TenantSpec:
-        return self._spec
-
-
-def submit_options() -> "SubmitOptionsBuilder":
-    """Start fluent submit options: ``submit_options().priority(2)``."""
-    return SubmitOptionsBuilder()
-
-
-class SubmitOptionsBuilder:
-    """Fluent front for :class:`SubmitOptions` (see ``tenant_spec``)."""
-
-    def __init__(self):
-        self._options = SubmitOptions()
-
-    def lint(self, enabled: bool) -> "SubmitOptionsBuilder":
-        self._options = replace(self._options, lint=enabled)
-        return self
-
-    def priority(self, priority: int) -> "SubmitOptionsBuilder":
-        self._options = replace(self._options, priority=priority)
-        return self
-
-    def deadline(self, seconds: float) -> "SubmitOptionsBuilder":
-        self._options = replace(self._options, deadline_s=seconds)
-        return self
-
-    def no_cache(self) -> "SubmitOptionsBuilder":
-        self._options = replace(self._options, use_cache=False)
-        return self
-
-    def build(self) -> SubmitOptions:
-        return self._options
-
-    # duck-typing hook consumed by UDCService.submit.
-    def build_options(self) -> SubmitOptions:
-        return self._options

@@ -3,12 +3,13 @@
 Covers the tentpole contract — budget enforcement at the front door
 with adaptive ceilings, spot-tier preemption feeding the admission
 retry machinery, and forecast-sized warm pools — plus the satellite
-API work: the typed ``TenantSpec``/``SubmitOptions`` surface with its
-deprecation shims, the warm-pool deferred-prewarm regression, and the
-empty-ledger fairness contract.
+API work: the typed ``TenantSpec``/``SubmitOptions`` surface, the
+warm-pool deferred-prewarm regression, and the empty-ledger fairness
+contract.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -30,11 +31,8 @@ from repro.service import (
     BudgetExceeded,
     FifoAdmission,
     SubmitOptions,
-    TenantQuota,
     TenantSpec,
     UDCService,
-    submit_options,
-    tenant_spec,
 )
 
 #: one rack: a full-rack GPU job owns the whole datacenter
@@ -69,25 +67,18 @@ def cpu_job(name, work=2.0):
 # ------------------------------------------------------- typed specs
 
 
-def test_tenant_spec_builder_matches_dataclass():
-    built = (tenant_spec().weight(2.0).budget(5.0).spot()
-             .slo(60.0).build())
-    assert built == TenantSpec(weight=2.0, budget_dollars=5.0,
-                               tier="spot", slo_s=60.0)
-    assert built.effective_tier == "spot"
-    assert built.plan is SPOT_PLAN
-
-
 def test_goal_cheapest_resolves_to_spot_tier():
-    spec = tenant_spec().goal("cheapest").build()
+    spec = TenantSpec(goal="cheapest")
     assert spec.tier == "firm" and spec.effective_tier == "spot"
     assert TenantSpec().effective_tier == "firm"
     assert TenantSpec().plan is FIRM_PLAN
+    assert TenantSpec(tier="spot").effective_tier == "spot"
+    assert TenantSpec(tier="spot").plan is SPOT_PLAN
 
 
 def test_explicit_pricing_overrides_tier_plan():
     plan = PricingPlan(name="contract", multiplier=0.8)
-    spec = tenant_spec().spot().pricing(plan).build()
+    spec = TenantSpec(tier="spot", pricing=plan)
     assert spec.plan is plan
     assert plan.billed(10.0) == pytest.approx(8.0)
 
@@ -105,14 +96,7 @@ def test_spec_validation_errors():
         PricingPlan(multiplier=0.0)
 
 
-def test_submit_options_builder_matches_dataclass():
-    built = (submit_options().lint(False).priority(3).deadline(9.0)
-             .no_cache().build())
-    assert built == SubmitOptions(lint=False, priority=3,
-                                  deadline_s=9.0, use_cache=False)
-
-
-# ------------------------------------------- deprecated spellings
+# ------------------------------------------- front-door spellings
 
 
 def test_register_tenant_accepts_spec_and_builder():
@@ -120,26 +104,10 @@ def test_register_tenant_accepts_spec_and_builder():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         service.register_tenant("a", TenantSpec(weight=2.0))
-        service.register_tenant("b", tenant_spec().weight(3.0))
+        service.register_tenant("b", replace(TenantSpec(weight=2.0),
+                                             weight=3.0))
     assert service.tenants["a"].weight == 2.0
     assert service.tenants["b"].weight == 3.0
-
-
-def test_register_tenant_positional_weight_warns():
-    service = UDCService(build_datacenter(TINY))
-    with pytest.warns(DeprecationWarning):
-        service.register_tenant("t", 2.5)
-    assert service.tenants["t"].weight == 2.5
-    assert service.spec_of("t").weight == 2.5
-
-
-def test_register_tenant_legacy_keywords_warn_and_fold():
-    service = UDCService(build_datacenter(TINY))
-    quota = TenantQuota(max_in_flight=1)
-    with pytest.warns(DeprecationWarning):
-        service.register_tenant("t", weight=4.0, quota=quota)
-    assert service.tenants["t"].weight == 4.0
-    assert service.tenants["t"].quota is quota
 
 
 def test_register_tenant_rejects_bad_spellings():
@@ -147,22 +115,14 @@ def test_register_tenant_rejects_bad_spellings():
     with pytest.raises(TypeError):
         service.register_tenant("t", "heavy")
     with pytest.raises(TypeError):
+        service.register_tenant("t", 2.5)
+    with pytest.raises(TypeError):
         service.register_tenant("t", wight=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            service.register_tenant("t", TenantSpec(), weight=2.0)
-
-
-def test_submit_legacy_keywords_warn_and_fold():
-    service = UDCService(build_datacenter(TINY))
-    app, spec = cpu_job("legacy")
-    with pytest.warns(DeprecationWarning):
-        handle = service.submit("t", app, spec, lint=False, priority=2)
-    assert handle.options.lint is False
-    assert handle.options.priority == 2
-    service.drain()
-    assert handle.status == "done"
+    with pytest.raises(TypeError):
+        service.register_tenant("t", weight=2.0)
+    with pytest.raises(TypeError):
+        service.register_tenant("t", TenantSpec(), weight=2.0)
+    assert "t" not in service.tenants
 
 
 def test_submit_rejects_bad_spellings():
@@ -172,11 +132,12 @@ def test_submit_rejects_bad_spellings():
         service.submit("t", app, spec, options="fast")
     with pytest.raises(TypeError):
         service.submit("t", app, spec, prio=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            service.submit("t", app, spec,
-                           options=SubmitOptions(), priority=1)
+    with pytest.raises(TypeError):
+        service.submit("t", app, spec, priority=1)
+    with pytest.raises(TypeError):
+        service.submit("t", app, spec,
+                       options=SubmitOptions(), priority=1)
+    assert service.handles == []
 
 
 def test_priority_orders_the_dispatch_round():
@@ -185,7 +146,7 @@ def test_priority_orders_the_dispatch_round():
     hi_app, hi_spec = gpu_job("hi", work=5.0)
     lo = service.submit("t1", lo_app, lo_spec)
     hi = service.submit("t2", hi_app, hi_spec,
-                        options=submit_options().priority(5))
+                        options=SubmitOptions(priority=5))
     service.dispatch_round()
     # Both need the whole rack; the higher-priority later submission
     # must have been placed first.
@@ -199,7 +160,7 @@ def test_use_cache_false_skips_memoization():
     service.submit("t", app, spec, inputs={"crunch": 1})
     service.drain()
     handle = service.submit("t", app, spec, inputs={"crunch": 1},
-                            options=submit_options().no_cache())
+                            options=SubmitOptions(use_cache=False))
     service.drain()
     assert not handle.cached
     assert service.cache_stats.hits == 0
@@ -210,7 +171,7 @@ def test_use_cache_false_skips_memoization():
 
 def test_budget_exhaustion_rejects_at_the_front_door():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", tenant_spec().budget(1e-9))
+    service.register_tenant("t", TenantSpec(budget_dollars=1e-9))
     app, spec = cpu_job("j0")
     service.submit("t", app, spec)
     service.drain()
@@ -226,7 +187,7 @@ def test_budget_exhaustion_rejects_at_the_front_door():
 
 def test_budget_rejection_is_catchable_as_quota():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", tenant_spec().budget(1e-9))
+    service.register_tenant("t", TenantSpec(budget_dollars=1e-9))
     app, spec = cpu_job("j0")
     service.submit("t", app, spec)
     service.drain()
@@ -238,7 +199,7 @@ def test_budget_rejection_is_catchable_as_quota():
 
 def test_spot_billing_discounts_the_ledger():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("s", tenant_spec().spot())
+    service.register_tenant("s", TenantSpec(tier="spot"))
     app, spec = cpu_job("j")
     service.submit("s", app, spec)
     service.drain()
@@ -282,7 +243,7 @@ def test_adaptive_hook_paces_and_boosts():
 
 def test_autopilot_service_sets_ceilings():
     service = UDCService(build_datacenter(TINY), autopilot=True)
-    service.register_tenant("t", tenant_spec().budget(10.0))
+    service.register_tenant("t", TenantSpec(budget_dollars=10.0))
     app, spec = cpu_job("j")
     service.submit("t", app, spec)
     service.drain()
@@ -306,7 +267,7 @@ def test_economics_fingerprint_inert_without_budgets():
 
 def test_firm_submission_preempts_running_spot_work():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("spot", tenant_spec().spot())
+    service.register_tenant("spot", TenantSpec(tier="spot"))
     service.register_tenant("firm", TenantSpec())
     s_app, s_spec = gpu_job("spotjob", work=50.0)
     spot = service.submit("spot", s_app, s_spec)
@@ -333,8 +294,8 @@ def test_firm_submission_preempts_running_spot_work():
 
 def test_spot_never_preempts_spot():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("s1", tenant_spec().spot())
-    service.register_tenant("s2", tenant_spec().goal("cheapest"))
+    service.register_tenant("s1", TenantSpec(tier="spot"))
+    service.register_tenant("s2", TenantSpec(goal="cheapest"))
     a1, d1 = gpu_job("one", work=50.0)
     a2, d2 = gpu_job("two", work=5.0)
     first = service.submit("s1", a1, d1)
@@ -354,7 +315,7 @@ def test_preemption_storm_keeps_cross_tier_fairness():
     for name in ("firm-a", "firm-b"):
         service.register_tenant(name, TenantSpec())
     for name in ("spot-a", "spot-b"):
-        service.register_tenant(name, tenant_spec().spot())
+        service.register_tenant(name, TenantSpec(tier="spot"))
     jobs = 3
     for round_index in range(jobs):
         for name in ("spot-a", "spot-b", "firm-a", "firm-b"):
@@ -372,8 +333,8 @@ def test_preemption_storm_keeps_cross_tier_fairness():
 def test_preemption_is_deterministic():
     def run():
         service = UDCService(build_datacenter(TINY), autopilot=True)
-        service.register_tenant("spot", tenant_spec().spot().budget(5.0))
-        service.register_tenant("firm", tenant_spec().budget(5.0))
+        service.register_tenant("spot", TenantSpec(tier="spot", budget_dollars=5.0))
+        service.register_tenant("firm", TenantSpec(budget_dollars=5.0))
         for index in range(3):
             s_app, s_spec = gpu_job(f"s{index}", work=20.0)
             f_app, f_spec = gpu_job(f"f{index}", work=5.0)

@@ -10,6 +10,7 @@ finalization, incremental in-flight counters, and lint-before-cache-hit.
 """
 
 import asyncio
+import warnings
 
 import pytest
 
@@ -138,7 +139,13 @@ def test_load_shed_returns_429_and_consumes_no_quota():
 
     async def scenario(gateway, service):
         async with GatewayClient(gateway.host, gateway.port) as client:
-            await client.register_tenant("greedy", max_submissions=2)
+            await client.register_tenant("greedy", weight=2.0,
+                                         max_submissions=2)
+            # The HTTP registration lands as one typed spec.
+            spec = service.spec_of("greedy")
+            assert spec.weight == 2.0
+            assert spec.quota.max_submissions == 2
+            assert spec.quota.max_in_flight is None
             # Pause the engine tick so the first submission stays live
             # for the whole shed window — otherwise a fast tick could
             # finalize it between the shed and the assertions below.
@@ -172,7 +179,9 @@ def test_load_shed_returns_429_and_consumes_no_quota():
             assert retry["done"]
         return gateway._shed_total
 
-    shed_total = run_gateway(scenario, config=config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shed_total = run_gateway(scenario, config=config)
     assert shed_total == 1
 
 

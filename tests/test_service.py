@@ -4,10 +4,8 @@ Covers the tentpole contract — quotas at the front door, weighted
 fair-share ordering under contention, result-cache hit/miss/eviction,
 and batched-vs-serial placement identity on the fig2 medical pipeline —
 plus the satellite API work: the fluent definition builder and the
-``dag=`` deprecation shim.
+runtime entry points' required positional ``app``.
 """
-
-import warnings
 
 import pytest
 
@@ -19,7 +17,7 @@ from repro.core.runtime import UDCRuntime
 from repro.core.spec import SpecError, parse_definition
 from repro.hardware.devices import DeviceType
 from repro.hardware.topology import DatacenterSpec, build_datacenter
-from repro.service import QuotaExceeded, TenantQuota, UDCService
+from repro.service import QuotaExceeded, TenantQuota, TenantSpec, UDCService
 from repro.workloads.medical import build_medical_app
 
 #: one rack, 16 GPUs total: a 16-GPU job owns the whole datacenter
@@ -56,7 +54,8 @@ def cpu_job(name, work=2.0):
 
 def test_in_flight_quota_rejects_at_the_front_door():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", quota=TenantQuota(max_in_flight=2))
+    service.register_tenant(
+        "t", TenantSpec(quota=TenantQuota(max_in_flight=2)))
     for index in range(2):
         app, spec = cpu_job(f"job{index}")
         service.submit("t", app, spec)
@@ -73,7 +72,8 @@ def test_in_flight_quota_rejects_at_the_front_door():
 
 def test_lifetime_quota_is_cumulative():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", quota=TenantQuota(max_submissions=2))
+    service.register_tenant(
+        "t", TenantSpec(quota=TenantQuota(max_submissions=2)))
     for index in range(2):
         app, spec = cpu_job(f"job{index}")
         service.submit("t", app, spec)
@@ -85,7 +85,8 @@ def test_lifetime_quota_is_cumulative():
 
 def test_quota_rejection_spends_no_capacity():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", quota=TenantQuota(max_in_flight=1))
+    service.register_tenant(
+        "t", TenantSpec(quota=TenantQuota(max_in_flight=1)))
     app, spec = cpu_job("held")
     service.submit("t", app, spec)
     with pytest.raises(QuotaExceeded):
@@ -106,8 +107,8 @@ def test_fair_share_order_under_contention():
         build_datacenter(TINY),
         policy=WeightedFairShare(weights={"heavy": 3.0, "light": 1.0}),
     )
-    service.register_tenant("heavy", weight=3.0)
-    service.register_tenant("light", weight=1.0)
+    service.register_tenant("heavy", TenantSpec(weight=3.0))
+    service.register_tenant("light", TenantSpec(weight=1.0))
     handles = []
     for index in range(3):  # interleaved submission: h, l, h, l, h, l
         handles.append(service.submit("heavy", *gpu_job(f"h{index}")))
@@ -123,8 +124,8 @@ def test_fair_share_order_under_contention():
 
 def test_fifo_policy_preserves_submission_order():
     service = UDCService(build_datacenter(TINY), policy=FifoAdmission())
-    service.register_tenant("heavy", weight=3.0)
-    service.register_tenant("light", weight=1.0)
+    service.register_tenant("heavy", TenantSpec(weight=3.0))
+    service.register_tenant("light", TenantSpec(weight=1.0))
     handles = []
     for index in range(2):
         handles.append(service.submit("heavy", *gpu_job(f"h{index}")))
@@ -183,7 +184,8 @@ def test_result_cache_hit_miss_eviction():
 
 def test_cached_submission_skips_quota():
     service = UDCService(build_datacenter(TINY))
-    service.register_tenant("t", quota=TenantQuota(max_submissions=1))
+    service.register_tenant(
+        "t", TenantSpec(quota=TenantQuota(max_submissions=1)))
     app, spec = cpu_job("memo")
     service.submit("t", app, spec, inputs={"crunch": 1})
     service.drain()
@@ -271,39 +273,18 @@ def test_admission_memo_reused_across_identical_apps():
     assert memo.stats.hits == 2  # first admission built the template
 
 
-# -------------------------------------------------- deprecation shim
+# ------------------------------------------ runtime entry points
 
 
-def test_dag_keyword_warns_and_still_works():
+def test_runtime_entry_points_reject_missing_app_and_unknown_keywords():
     runtime = UDCRuntime(build_datacenter(TINY))
-    app, spec = cpu_job("legacy")
-    with pytest.warns(DeprecationWarning, match="dag=.*deprecated"):
-        result = runtime.run(dag=app, definition=spec)
-    assert result.outputs["crunch"] == "legacy"
-
-
-def test_dag_keyword_warns_on_submit_and_plan():
-    runtime = UDCRuntime(build_datacenter(TINY))
-    app, spec = cpu_job("legacy")
-    with pytest.warns(DeprecationWarning):
-        runtime.plan(dag=app, definition=spec)
-    with pytest.warns(DeprecationWarning):
-        submission = runtime.submit(dag=app, definition=spec)
-    runtime.drain()
-    assert submission.status == "done"
-
-
-def test_both_app_and_dag_is_an_error():
-    runtime = UDCRuntime(build_datacenter(TINY))
-    app, spec = cpu_job("legacy")
-    with pytest.raises(TypeError, match="both 'app' and the deprecated"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runtime.run(app, dag=app, definition=spec)
-    with pytest.raises(TypeError, match="missing required argument"):
-        runtime.run(definition=spec)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        runtime.run(app, spec, dagg=app)
+    app, spec = cpu_job("positional")
+    for entry in (runtime.run, runtime.submit, runtime.plan):
+        with pytest.raises(TypeError, match="missing 1 required"):
+            entry(definition=spec)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            entry(app, spec, dag=app)
+    assert runtime.run(app, spec).outputs["crunch"] == "positional"
 
 
 # ------------------------------------------------------ fluent builder
