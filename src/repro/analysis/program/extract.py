@@ -238,9 +238,6 @@ class ProgramModel:
     #: driver parameter names == the program's external input interface
     input_params: Tuple[str, ...] = ()
 
-    def task_summary(self, name: str) -> FunctionSummary:
-        return self.functions[name]
-
 
 # --------------------------------------------------------------- function AST
 

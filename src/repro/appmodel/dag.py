@@ -17,7 +17,7 @@ neither endpoint touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 import networkx as nx
 
@@ -107,12 +107,6 @@ class ModuleDAG:
 
     def successors(self, name: str) -> List[str]:
         return [e.dst for e in self.edges if e.src == name]
-
-    def colocation_group_of(self, name: str) -> Optional[Set[str]]:
-        for group in self.colocate_groups:
-            if name in group:
-                return group
-        return None
 
     # -- graph views ------------------------------------------------------------
 

@@ -76,10 +76,6 @@ class ResourceAspect:
                 f"media must be a memory/storage type, got {self.media.value}"
             )
 
-    @property
-    def is_goal_directed(self) -> bool:
-        return self.device is None and self.media is None
-
 
 @dataclass(frozen=True)
 class ExecEnvAspect:

@@ -123,8 +123,3 @@ class BundleManager:
         )
         self.units.append(unit)
         return unit
-
-    def refill_warm_pool(self) -> int:
-        if self.warm_pool is None:
-            return 0
-        return self.warm_pool.refill()

@@ -24,14 +24,15 @@ prior placements):
   score reads only the cells' incrementally-maintained pool aggregates
   (PR 2's accounting), so the same command sequence routes identically
   on every run — placements stay replayable under ``repro.replay``.
-* Spill is a deterministic walk of that order; the submission parks on
-  the first-choice cell's admission queue only after every cell
-  rejected.
+* Spill is a deterministic walk of that order; only after every cell
+  rejected does the first-choice cell's rolled-back attempt park on
+  that cell's admission queue (no cell places it twice).
 
-The single-cell configuration bypasses nothing and adds nothing: with
-``cells=1`` the service talks to one runtime exactly as before, and the
-golden traces in ``tests/test_placement_equivalence.py`` pin the
-byte-identity.
+Every cell count takes the same path.  One cell is the whole,
+unpartitioned datacenter behind a router with one choice and no
+telemetry, so route-reject-park is exactly a runtime submit with
+``queue_if_full=True``; the golden traces in
+``tests/test_placement_equivalence.py`` pin the byte-identity.
 """
 
 from __future__ import annotations

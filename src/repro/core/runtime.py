@@ -40,7 +40,7 @@ from repro.core.defaults import provider_defaults
 from repro.core.objects import UDCObject
 from repro.core.observability import MetricsRegistry, Span
 from repro.core.report import ModuleRow, RunResult
-from repro.core.scheduler import TaskPlacement, UdcScheduler
+from repro.core.scheduler import SchedulerError, TaskPlacement, UdcScheduler
 from repro.core.spec import UserDefinition, parse_definition
 from repro.core.telemetry import Telemetry
 from repro.core.tuner import FineTuner
@@ -443,14 +443,15 @@ class UDCRuntime:
         :meth:`decommission`.
 
         ``queue_if_full``: when placement fails for lack of free capacity,
-        park the submission in the admission queue and retry as running
-        work releases resources (overload behavior, E21) instead of
-        raising.  Retry order follows :attr:`admission_policy` (FIFO by
-        default).  Submissions that never fit surface as
-        ``status == "unplaceable"`` at drain.
+        :meth:`park` the submission in the admission queue and retry as
+        running work releases resources (overload behavior, E21) instead
+        of raising.  Retry order follows :attr:`admission_policy` (FIFO
+        by default).  Submissions that never fit surface as
+        ``status == "unplaceable"`` at drain.  Without it the
+        :class:`~repro.core.scheduler.SchedulerError` is raised with the
+        rolled-back attempt on ``exc.queue_entry``, so a caller that
+        tries elsewhere first can still park this attempt later.
         """
-        from repro.core.scheduler import SchedulerError
-
         submission = Submission(dag=app, tenant=tenant, inputs=inputs or {},
                                 seq=next(self._seq_counter),
                                 persistent=persistent)
@@ -460,17 +461,34 @@ class UDCRuntime:
             self.admission_policy.on_admitted(tenant)
         except SchedulerError as exc:
             self._rollback(submission)
+            exc.queue_entry = _QueuedEntry(submission, definition,
+                                           failure_plan, dishonest_env,
+                                           attach_stores)
             if not queue_if_full:
                 raise
-            submission.status = "queued"
-            submission.queued_at = self.sim.now
-            self._admission_queue.append(
-                _QueuedEntry(submission, definition, failure_plan,
-                             dishonest_env, attach_stores)
-            )
-            self.telemetry.event(
-                self.sim.now, app.name, "admission-queued", str(exc)
-            )
+            return self.park(exc)
+        self._submissions.append(submission)
+        return submission
+
+    def park(self, rejection: SchedulerError) -> Submission:
+        """Queue the attempt ``rejection`` rolled back, without placing
+        it again.
+
+        ``rejection`` is a :class:`~repro.core.scheduler.SchedulerError`
+        raised by this runtime's :meth:`submit`; its submission waits in
+        the admission queue until freed capacity admits it (or drain
+        marks it unplaceable), exactly as ``queue_if_full=True`` would
+        have left it.
+        """
+        entry = rejection.queue_entry
+        submission = entry.submission
+        submission.status = "queued"
+        submission.queued_at = self.sim.now
+        self._admission_queue.append(entry)
+        self.telemetry.event(
+            self.sim.now, submission.dag.name, "admission-queued",
+            str(rejection)
+        )
         self._submissions.append(submission)
         return submission
 
@@ -498,8 +516,6 @@ class UDCRuntime:
         the submission seq — so the retry order is a deterministic
         function of queue contents, never of insertion accidents.
         """
-        from repro.core.scheduler import SchedulerError
-
         self._retry_scheduled = False
         policy = self.admission_policy
         tier_of = self.tier_of

@@ -83,6 +83,11 @@ _APP_BUILDERS = {
 _APP_BUILDERS["tiny"] = _tiny_app
 
 
+#: real seconds shutdown waits for closed connections to finish cleanup
+#: (a stream session gives its pump up to one second)
+_CONNECTION_CLOSE_S = 2.0
+
+
 @dataclass
 class GatewayConfig:
     """Tunables for one gateway instance."""
@@ -157,7 +162,9 @@ class UDCGateway:
         #: EWMA of finalizations per real second (feeds Retry-After)
         self._finalize_rate = 0.0
         self._rate_mark: Optional[float] = None
-        self._conn_writers: set = set()
+        #: open connection -> the task serving it; shutdown waits for
+        #: every one to finish its own cleanup
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._shed_total = 0
 
     # ------------------------------------------------------------ lifecycle
@@ -222,8 +229,16 @@ class UDCGateway:
                 watch.queue.put_nowait(None)
         self._watches.clear()
         await asyncio.sleep(0)
-        for writer in list(self._conn_writers):
+        for writer in list(self._connections):
             writer.close()
+        # Closed sockets end every session (a stream session stops its
+        # pump); wait for that so no connection task is still running
+        # when serve() returns — the loop's teardown would cancel it, and
+        # a connection task cancelled mid-cleanup logs a traceback.
+        pending = [task for task in self._connections.values()
+                   if task is not asyncio.current_task()]
+        if pending:
+            await asyncio.wait(pending, timeout=_CONNECTION_CLOSE_S)
         if self._server is not None:
             await self._server.wait_closed()
         if self._stopped is not None:
@@ -330,7 +345,7 @@ class UDCGateway:
 
     async def _connection(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
-        self._conn_writers.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 request = await read_request(reader)
@@ -352,7 +367,7 @@ class UDCGateway:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._conn_writers.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -723,20 +738,17 @@ class UDCGateway:
         watch.done = True
 
     def _spans_of(self, handle: SubmissionHandle) -> List[Any]:
-        """Closed lifecycle spans for the handle's tenant + app.
-
-        A linear scan of the span log — acceptable because streams are
-        a debugging/watching surface; fleet-scale runs serve with
-        telemetry disabled, where the log is empty.
+        """The watched submission's own closed lifecycle spans, in start
+        order: one root per task of its final deployment, read off the
+        submission itself in O(its tasks) — never another submission's,
+        however many share its tenant and app name.  Empty when
+        telemetry is disabled (tasks then hold the null span).
         """
-        if handle.cached:
+        if handle.cached or handle.submission is None:
             return []
-        return [
-            span for span in self.telemetry.spans
-            if span.phase == "lifecycle" and span.end_s is not None
-            and span.attrs.get("tenant") == handle.tenant
-            and span.attrs.get("app") == handle.app
-        ]
+        spans = [task.span for task in handle.submission.live_tasks.values()
+                 if task.span is not None and task.span.end_s is not None]
+        return sorted(spans, key=lambda span: span.span_id)
 
 
 def _jsonable(value: Any) -> bool:

@@ -125,7 +125,7 @@ class SubmissionHandle:
     seq: int
     cached: bool = False
     #: placement cell the submission was routed to (None until
-    #: dispatched; always 0 on an unsharded service)
+    #: dispatched)
     cell: Optional[int] = None
     submission: Optional[Submission] = None
     result: Optional[RunResult] = None
@@ -173,17 +173,19 @@ class SubmissionHandle:
 class UDCService:
     """Multi-tenant serving layer over one or more placement cells.
 
-    ``cells=1`` (the default) is the historical single-runtime service —
-    one scheduler, one set of pool indexes, placements byte-identical to
-    PR 4.  ``cells=N`` partitions the datacenter into N rack-group cells
-    (:func:`repro.core.cells.partition_datacenter`), each with its own
-    :class:`UDCRuntime` — scheduler, pool indexes, batch cache, and
-    admission memo — fronted by a :class:`~repro.core.cells.CellRouter`
-    that picks a cell per submission from coarse free-capacity
-    aggregates and spills deterministically to the next cell on
-    rejection.  Cell runtimes share one simulator, fabric, telemetry,
-    RNG registry, warm pool, and breaker registry, so replay fingerprints
-    and fault injection stay global.
+    Every submission takes one path, whatever the cell count: a
+    :class:`~repro.core.cells.CellRouter` orders the cells from coarse
+    free-capacity aggregates, each cell's :class:`UDCRuntime` is tried
+    in that order, and a submission every cell rejected parks on the
+    first-choice cell.  ``cells=N`` partitions the datacenter into N
+    rack-group cells (:func:`repro.core.cells.partition_datacenter`),
+    each with its own runtime — scheduler, pool indexes, batch cache,
+    and admission memo — sharing one simulator, fabric, telemetry, RNG
+    registry, warm pool, and breaker registry, so replay fingerprints
+    and fault injection stay global.  ``cells=1`` (the default) is one
+    cell over the whole, unpartitioned datacenter: its router has one
+    choice and no telemetry, and nothing carries a cell label, so it
+    places, meters, and reports exactly as a bare runtime would.
 
     Sharding semantics worth knowing:
 
@@ -194,8 +196,9 @@ class UDCService:
     * Fair share stays global: dispatch rounds are ordered by the
       service-wide policy *before* fanning out, and every cell runtime
       shares the one policy instance.
-    * If every cell rejects, the submission parks on the first-choice
-      cell's admission queue and retries there as capacity frees.
+    * If every cell rejects, the first-choice cell's rolled-back attempt
+      parks on that cell's admission queue and retries there as capacity
+      frees; no cell places a submission twice in one dispatch.
     """
 
     def __init__(
@@ -213,12 +216,8 @@ class UDCService:
     ):
         if cells < 1:
             raise ValueError(f"cells must be >= 1, got {cells}")
-        if cells == 1:
-            runtimes = [UDCRuntime(datacenter, **runtime_kwargs)]
-        else:
-            runtimes = self._build_cell_runtimes(
-                datacenter, cells, runtime_kwargs
-            )
+        runtimes = self._build_cell_runtimes(datacenter, cells,
+                                             runtime_kwargs)
         self.cell_runtimes: List[UDCRuntime] = runtimes
         self.runtime = runtimes[0]
         self.lint = lint
@@ -231,11 +230,11 @@ class UDCService:
                 cell_runtime.admission_memo = AdmissionMemo(
                     admission_memo_capacity
                 )
-        self.router: Optional[CellRouter] = None
-        if len(runtimes) > 1:
-            self.router = CellRouter(
-                [rt.datacenter for rt in runtimes], telemetry=self.telemetry
-            )
+        # Router telemetry is cell-labelled, so one cell records none.
+        self.router = CellRouter(
+            [rt.datacenter for rt in runtimes],
+            telemetry=self.telemetry if cells > 1 else None,
+        )
         self.cache = ResultCache(result_cache_capacity)
         self.ledger = TenantLedger()
         self.tenants: Dict[str, Tenant] = {}
@@ -282,37 +281,24 @@ class UDCService:
     def _build_cell_runtimes(
         datacenter: Datacenter, cells: int, runtime_kwargs: Dict[str, Any]
     ) -> List[UDCRuntime]:
-        """Partition ``datacenter`` and build one runtime per cell.
+        """One runtime per placement cell.
 
-        Telemetry, RNG registry, warm pool, and breaker registry are
-        shared across cells (one control plane, N placement domains);
-        every other runtime kwarg passes through to each cell.
+        One cell is the whole datacenter, unpartitioned and unlabelled.
+        More cells partition its racks and label each cell's pools and
+        scheduler; the first cell's runtime builds the telemetry, RNG
+        registry, warm pool, and breaker registry every other cell
+        shares (one control plane, N placement domains).  Every other
+        runtime kwarg passes through to each cell.
         """
-        from repro.core.telemetry import Telemetry
-        from repro.distsem.resilience import CircuitBreakerRegistry
-        from repro.execenv.warmpool import WarmPool
-        from repro.simulator.rng import RngRegistry
-
-        shared = dict(runtime_kwargs)
-        telemetry = shared.pop("telemetry", None)
-        if telemetry is None:
-            telemetry = Telemetry()
-        rng = shared.pop("rng", None)
-        if rng is None:
-            rng = RngRegistry(0)
-        warm_pool = shared.pop("warm_pool", None)
-        if warm_pool is None:
-            warm_pool = WarmPool(enabled=False)
-        breakers = shared.pop("breakers", None)
-        if breakers is None:
-            breakers = CircuitBreakerRegistry()
-        runtimes = [
-            UDCRuntime(
-                cell_dc, telemetry=telemetry, rng=rng, warm_pool=warm_pool,
-                breakers=breakers, **shared,
-            )
-            for cell_dc in partition_datacenter(datacenter, cells)
-        ]
+        if cells == 1:
+            return [UDCRuntime(datacenter, **runtime_kwargs)]
+        cell_dcs = partition_datacenter(datacenter, cells)
+        first = UDCRuntime(cell_dcs[0], **runtime_kwargs)
+        shared = dict(runtime_kwargs, telemetry=first.telemetry,
+                      rng=first.rng, warm_pool=first.warm_pool,
+                      breakers=first.breakers)
+        runtimes = [first] + [UDCRuntime(cell_dc, **shared)
+                              for cell_dc in cell_dcs[1:]]
         for cell_id, cell_runtime in enumerate(runtimes):
             cell_runtime.scheduler.cell_label = str(cell_id)
         return runtimes
@@ -523,20 +509,39 @@ class UDCService:
             raise AnalysisError(report)
 
     def _dispatch(self, work: "_PendingWork") -> None:
+        """Route by coarse demand, spill on rejection, park last.
+
+        Cells are tried in router order with ``queue_if_full=False``; a
+        cell that cannot place the app rolls its attempt back and
+        raises, and the next cell is tried (the spill).  When *every*
+        cell rejected, the first-choice cell's rolled-back attempt parks
+        on that cell's admission queue, where freed capacity retries it
+        — it is not placed a second time.  With one cell this is
+        exactly ``UDCRuntime.submit(queue_if_full=True)``.
+        """
         handle = work.handle
-        if self.router is None:
-            # Unsharded: exactly the historical single-runtime path (one
-            # submit attempt, queue on capacity failure) so placements,
-            # seq streams, and telemetry stay byte-identical.
-            handle.cell = 0
-            submission = self.runtime.submit(
-                work.app, work.definition, tenant=handle.tenant,
-                inputs=work.inputs,
-                persistent=_declares_persistent(work.definition),
-                queue_if_full=True,
-            )
+        persistent = _declares_persistent(work.definition)
+        demand = estimate_demand(work.app, self.runtime.datacenter)
+        order = self.router.order(demand)
+        first_rejection: Optional[SchedulerError] = None
+        for hops, cell_id in enumerate(order):
+            try:
+                submission = self.cell_runtimes[cell_id].submit(
+                    work.app, work.definition, tenant=handle.tenant,
+                    inputs=work.inputs, persistent=persistent,
+                    queue_if_full=False,
+                )
+            except SchedulerError as exc:
+                if first_rejection is None:
+                    first_rejection = exc
+                continue
+            self.router.record_placement(cell_id, hops)
+            break
         else:
-            submission = self._dispatch_routed(work)
+            cell_id = order[0]
+            self.router.record_placement(cell_id, len(order))
+            submission = self.cell_runtimes[cell_id].park(first_rejection)
+        handle.cell = cell_id
         handle.submission = submission
         labels = {"tenant": handle.tenant}
         if submission.status == "queued":
@@ -560,8 +565,7 @@ class UDCService:
         itself — and if the victims run out, the firm submission simply
         stays parked like any other queued work.
         """
-        cell = handle.cell if handle.cell is not None else 0
-        runtime = self.cell_runtimes[cell]
+        runtime = self.cell_runtimes[handle.cell]
         victims = sorted(
             (
                 h for h in self._open
@@ -569,7 +573,7 @@ class UDCService:
                 and h.submission is not None
                 and h.submission.status == "running"
                 and not h.submission.persistent
-                and (h.cell if h.cell is not None else 0) == cell
+                and h.cell == handle.cell
                 and self.tier_of(h.tenant) == "spot"
             ),
             key=lambda h: -h.seq,
@@ -584,40 +588,6 @@ class UDCService:
             runtime._retry_admissions()
             if submission.status != "queued":
                 return
-
-    def _dispatch_routed(self, work: "_PendingWork") -> Submission:
-        """Sharded dispatch: route by coarse demand, spill on rejection.
-
-        Cells are tried in router order with ``queue_if_full=False``; a
-        cell that cannot place the app raises, rolls its partial
-        placement back, and the next cell is tried (the spill).  Only
-        when *every* cell rejected does the submission park — on the
-        first-choice cell's admission queue, where freed capacity
-        retries it.
-        """
-        handle = work.handle
-        persistent = _declares_persistent(work.definition)
-        demand = estimate_demand(work.app, self.runtime.datacenter)
-        order = self.router.order(demand)
-        for hops, cell_id in enumerate(order):
-            try:
-                submission = self.cell_runtimes[cell_id].submit(
-                    work.app, work.definition, tenant=handle.tenant,
-                    inputs=work.inputs, persistent=persistent,
-                    queue_if_full=False,
-                )
-            except SchedulerError:
-                continue
-            handle.cell = cell_id
-            self.router.record_placement(cell_id, hops)
-            return submission
-        handle.cell = order[0]
-        self.router.record_placement(order[0], len(order))
-        return self.cell_runtimes[order[0]].submit(
-            work.app, work.definition, tenant=handle.tenant,
-            inputs=work.inputs, persistent=persistent,
-            queue_if_full=True,
-        )
 
     def dispatch_round(self) -> int:
         """Flush buffered submissions as one scheduling round.
@@ -753,8 +723,7 @@ class UDCService:
                 still_open.append(handle)
                 continue
             if submission.result is None:
-                cell = handle.cell if handle.cell is not None else 0
-                self.cell_runtimes[cell].collect(submission)
+                self.cell_runtimes[handle.cell].collect(submission)
             self._finalize(handle)
             finished.append(handle)
         self._open = still_open
@@ -858,7 +827,8 @@ class UDCService:
         free-capacity vectors.
         """
         registry = self.runtime.metrics_snapshot()
-        if self.router is None:
+        if self.cells == 1:
+            # The one cell's pools are the runtime's own, just collected.
             return registry
         totals: Dict[tuple, Dict[str, float]] = {}
         for cell_runtime in self.cell_runtimes[1:]:

@@ -120,10 +120,6 @@ class CapacityResource:
         self._waiters: Deque[tuple] = deque()  # (event, amount)
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def available(self) -> int:
         return self.capacity - self._in_use
 

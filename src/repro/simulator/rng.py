@@ -44,10 +44,6 @@ class RngRegistry:
 
     # -- state capture / restore (checkpoint & replay) ---------------------
 
-    def stream_names(self) -> list:
-        """Names of every stream drawn so far, sorted."""
-        return sorted(self._streams)
-
     def getstate(self, name: str) -> Any:
         """The named stream's generator state (creates it on first use,
         so capture-before-first-draw round-trips too)."""

@@ -41,12 +41,6 @@ class ClusterTrace:
     def __len__(self) -> int:
         return len(self.arrivals)
 
-    def archetype_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for arrival in self.arrivals:
-            counts[arrival.archetype] = counts.get(arrival.archetype, 0) + 1
-        return counts
-
 
 def _noop(ctx):
     """Shared task body for all archetypes: the simulator models the

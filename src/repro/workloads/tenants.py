@@ -84,12 +84,6 @@ class TenantTrace:
     def __len__(self) -> int:
         return len(self.submissions)
 
-    def per_tenant_counts(self) -> Dict[str, int]:
-        counts = {profile.name: 0 for profile in self.profiles}
-        for submission in self.submissions:
-            counts[submission.tenant] = counts.get(submission.tenant, 0) + 1
-        return counts
-
 
 def default_tenant_profiles(
     count: int = 8,

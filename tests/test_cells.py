@@ -178,6 +178,40 @@ def test_cross_cell_spill_is_deterministic():
     assert traces[0] == traces[1]
 
 
+def test_fully_rejected_submission_is_placed_once_per_cell(monkeypatch):
+    """A job no cell can host tries each cell once, then the first
+    choice's rolled-back attempt parks — no third placement."""
+    from repro.core.runtime import UDCRuntime
+
+    service = UDCService(_fresh_dc(), cells=2)
+    for cell_runtime in service.cell_runtimes:
+        gpu = cell_runtime.datacenter.pool(DeviceType.GPU)
+        for amount in (8.0, 8.0, 1.0):
+            gpu.allocate(amount, "filler")
+    attempts = []
+    real_submit = UDCRuntime.submit
+
+    def counting_submit(runtime, *args, **kwargs):
+        attempts.append((service.cell_runtimes.index(runtime),
+                         kwargs.get("queue_if_full")))
+        return real_submit(runtime, *args, **kwargs)
+
+    monkeypatch.setattr(UDCRuntime, "submit", counting_submit)
+    app, definition = spill_job(gpus=16, dram_gb=64.0)
+    handle = service.submit("tenant", app, definition)
+    service.dispatch_round()
+    assert attempts == [(0, False), (1, False)]
+    assert handle.status == "queued"
+    assert handle.cell == 0
+    assert service.router.spills == 1
+    parked = service.cell_runtimes[0]._admission_queue
+    assert [entry.submission for entry in parked] == [handle.submission]
+    # The parked attempt left nothing allocated behind.
+    for cell_runtime in service.cell_runtimes:
+        assert cell_runtime.datacenter.pool(DeviceType.GPU).total_used \
+            == 17.0
+
+
 # --------------------------------------------------------------- replay
 
 def test_sharded_run_records_and_replays(tmp_path):

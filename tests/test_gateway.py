@@ -185,6 +185,59 @@ def test_load_shed_returns_429_and_consumes_no_quota():
     assert shed_total == 1
 
 
+def test_stream_sends_only_the_watched_submissions_spans():
+    """Same tenant, same app, four submissions: each stream carries its
+    own submission's spans, not every same-named span logged so far."""
+    async def scenario(gateway, service):
+        counts = []
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            session = await client.stream()
+            for i in range(4):
+                accepted = await client.submit(
+                    "repeat", {"archetype": "tiny", "tag": "same"},
+                    inputs={"iter": i})
+                await session.watch(accepted["seq"])
+                spans = [event async for event in
+                         session.events_until_result(accepted["seq"])
+                         if event["event"] == "span"]
+                handle = service.handles[-1]
+                own = {task.span.span_id for task in
+                       handle.submission.live_tasks.values()}
+                assert {e["span"]["span_id"] for e in spans} == own
+                counts.append(len(spans))
+            await session.close()
+        return counts
+
+    assert run_gateway(scenario) == [1, 1, 1, 1]
+
+
+def test_shutdown_with_open_stream_logs_no_traceback():
+    """``POST /v1/shutdown`` while a stream is open: every connection
+    finishes its own cleanup before serve() returns, so the loop's
+    teardown has nothing left to cancel and nothing is logged."""
+    logged = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: logged.append(context))
+        gateway = UDCGateway(make_service(),
+                             GatewayConfig(port=0, tick_sim_s=0.5))
+        await gateway.start()
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            session = await client.stream()
+            await client.shutdown_server()
+            await gateway.wait_closed()
+            # The moment serve() returns: a task still running here is
+            # one asyncio.run would cancel (a traceback on Python 3.11).
+            leftover = [task for task in asyncio.all_tasks()
+                        if task is not asyncio.current_task()]
+            await session.close()
+        return leftover
+
+    assert asyncio.run(main()) == []
+    assert logged == []
+
+
 def test_graceful_shutdown_drains_in_flight():
     async def scenario(gateway, service):
         async with GatewayClient(gateway.host, gateway.port) as client:

@@ -21,9 +21,12 @@ import pytest
 
 import repro.hardware.devices as devices_mod
 import repro.hardware.pools as pools_mod
+from repro.appmodel.annotations import AppBuilder
+from repro.core.admission import FifoAdmission
 from repro.core.cells import partition_datacenter
 from repro.core.runtime import UDCRuntime
 from repro.execenv.warmpool import WarmPool
+from repro.hardware.devices import DeviceType
 from repro.hardware.topology import DatacenterSpec, build_datacenter
 from repro.service import UDCService
 from repro.workloads.cluster import generate_cluster_trace
@@ -191,9 +194,68 @@ def _service_trace(cells=None):
 
 
 def test_service_cells1_traces_identical_to_default():
-    """``UDCService(dc, cells=1)`` is the pre-PR service: one runtime,
-    no router, byte-identical placements and seq streams."""
+    """``UDCService(dc, cells=1)`` is the default service: one runtime
+    over the unpartitioned datacenter behind a one-cell router,
+    byte-identical placements and seq streams."""
     default_trace = _service_trace(cells=None)
     single_cell_trace = _service_trace(cells=1)
     assert len(default_trace) > 0
     assert default_trace == single_cell_trace
+
+
+#: one pod of two racks: 32 gpus, so two 16-gpu jobs fill the fleet
+DUO = DatacenterSpec(
+    pods=1, racks_per_pod=2,
+    devices_per_rack={DeviceType.CPU: 2, DeviceType.GPU: 2,
+                      DeviceType.DRAM: 1, DeviceType.SSD: 1},
+)
+
+
+def _gpu_job():
+    app = AppBuilder("gpu-hog")
+
+    @app.task(name="train", work=4.0, devices={DeviceType.GPU})
+    def train(ctx):
+        return "ok"
+
+    app.data("corpus", size_gb=64.0, hot=True)
+    return app.build(), {"train": {"resource": {"device": "gpu",
+                                                "amount": 16}}}
+
+
+def _contended_trace(through_service):
+    """Six 16-gpu jobs on 32 gpus — four must park and retry — traced at
+    the pool level, through a one-cell service or a bare runtime."""
+    dc, log = _traced_datacenter(DUO, indexed=True)
+    app, definition = _gpu_job()
+    if through_service:
+        service = UDCService(dc, batched=False, policy=FifoAdmission())
+        handles = [service.submit(f"t{i}", app, definition)
+                   for i in range(6)]
+        statuses = [handle.status for handle in handles]
+        service.drain()
+        done = [handle.status for handle in handles]
+    else:
+        runtime = UDCRuntime(dc)
+        submissions = [
+            runtime.submit(app, definition, tenant=f"t{i}",
+                           queue_if_full=True)
+            for i in range(6)
+        ]
+        statuses = [submission.status for submission in submissions]
+        runtime.drain()
+        done = [submission.status for submission in submissions]
+    return _normalize(dc, log), statuses, done
+
+
+def test_one_cell_service_matches_bare_runtime_queueing():
+    """The reference for the one dispatch path: route, reject, park on a
+    one-cell service places exactly what ``UDCRuntime.submit(
+    queue_if_full=True)`` places, parked retries included."""
+    service_trace, service_statuses, service_done = _contended_trace(True)
+    runtime_trace, runtime_statuses, runtime_done = _contended_trace(False)
+    assert runtime_statuses.count("queued") == 4
+    assert service_statuses == runtime_statuses
+    assert service_done == runtime_done == ["done"] * 6
+    assert len(runtime_trace) > 6
+    assert service_trace == runtime_trace
